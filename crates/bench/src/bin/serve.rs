@@ -116,7 +116,7 @@ fn wave_stats(mut latencies: Vec<f64>, wall: Duration) -> WaveStats {
 /// in-process runtime and over loopback TCP, with per-request byte
 /// parity between the two asserted.
 fn run_net_bench(proteus: &Arc<Proteus>, smoke: bool, serve_config: ServeConfig, out_path: &str) {
-    use proteus_net::{NetBackend, NetClient, NetServer, NetServerConfig, TenantAuth};
+    use proteus_net::{NetClient, NetServer, NetServerConfig, TenantAuth};
 
     let requests: u64 = if smoke { 6 } else { 16 };
     let interval = if smoke {
@@ -192,9 +192,7 @@ fn run_net_bench(proteus: &Arc<Proteus>, smoke: bool, serve_config: ServeConfig,
     // submit-to-last-frame quantity as the in-process wave.
     println!("== loopback socket wave: {requests} connections ==");
     let server = NetServer::bind(
-        NetBackend::Runtime(
-            ServeRuntime::new(Optimizer::new(Profile::OrtLike), serve_config).expect("runtime"),
-        ),
+        ServeRuntime::new(Optimizer::new(Profile::OrtLike), serve_config).expect("runtime"),
         proteus.config_fingerprint(),
         NetServerConfig {
             auth: vec![TenantAuth::new("loadgen", "loadgen")],

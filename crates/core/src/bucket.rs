@@ -23,10 +23,9 @@ use proteus_graph::wire::{
 };
 use proteus_graph::{Graph, TensorMap};
 use proteus_partition::PartitionPlan;
-use serde::{Deserialize, Serialize};
 
 /// One candidate subgraph: structure plus (optional) parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BucketMember {
     /// The anonymized subgraph.
     pub graph: Graph,
@@ -35,7 +34,7 @@ pub struct BucketMember {
 }
 
 /// The `k + 1` candidates hiding one protected subgraph.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Bucket {
     /// The candidates, in shuffled on-the-wire order.
     pub members: Vec<BucketMember>,
@@ -47,7 +46,7 @@ pub struct Bucket {
 /// This is the unit of the streaming protocol:
 /// [`crate::ObfuscationSession`] yields sealed buckets one at a time and
 /// [`crate::DeobfuscationSession`] accepts them back in any order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SealedBucket {
     /// Which bucket of the model this is (`0..num_buckets`).
     pub bucket_index: u32,
@@ -230,7 +229,7 @@ impl SealedBucket {
 }
 
 /// Everything the optimizer party receives.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ObfuscatedModel {
     /// One bucket per protected subgraph, in bucket-index order.
     pub buckets: Vec<Bucket>,
@@ -301,14 +300,13 @@ impl ObfuscatedModel {
 }
 
 /// The model owner's private reassembly material.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ObfuscationSecrets {
     /// The request these secrets belong to. Reassembly sessions use it to
     /// reject frames injected from a different request's stream and to
-    /// name the request in protocol errors. Defaults to `0`
-    /// ([`crate::LEGACY_REQUEST_ID`]) when deserializing secrets persisted
-    /// before this field existed — matching the v1-frame semantics.
-    #[serde(default)]
+    /// name the request in protocol errors. `0`
+    /// ([`crate::LEGACY_REQUEST_ID`]) for the one-shot wrappers —
+    /// matching the v1-frame semantics.
     pub request_id: u64,
     /// The partition plan (boundary wiring, original interfaces).
     pub plan: PartitionPlan,

@@ -168,32 +168,17 @@ pub struct FaultPlan {
     /// ran it — exercising the supervisor's respawn path instead of the
     /// in-place containment path.
     pub abort_worker: bool,
-    /// Seeded rate: stall roughly one in `stall_one_in` pool tasks for
-    /// [`FaultPlan::stall_ms`] before executing. Doubles as the bench's
-    /// modeled backend service time (`stall_one_in: 1`).
-    pub stall_one_in: u32,
-    /// Stall duration in milliseconds.
-    pub stall_ms: u32,
     /// Poison the [`crate::serve::OptimizedCache`] lock on the k-th insert
     /// (1-based; `0` = off): a panic is raised *while the cache lock is
     /// held*, exercising the cache's poison self-heal path.
     pub poison_cache_at: u32,
-    /// Kill the whole runtime on the k-th pool task (1-based; `0` = off):
-    /// shutdown is forced mid-request and every open lane fails with
-    /// [`ProteusError::ReplicaUnavailable`] — the replica-loss fault the
-    /// fleet's re-dispatch path recovers from.
-    pub kill_at_task: u32,
 }
 
 impl FaultPlan {
     /// True when any fault is armed. The hot path checks this once per
     /// task and skips all fault draws for the (default) inert plan.
     pub fn is_active(&self) -> bool {
-        self.panic_at != 0
-            || self.panic_one_in != 0
-            || self.stall_one_in != 0
-            || self.poison_cache_at != 0
-            || self.kill_at_task != 0
+        self.panic_at != 0 || self.panic_one_in != 0 || self.poison_cache_at != 0
     }
 
     /// Seeded rate draw: does a `one_in` fault fire at `ordinal`?
@@ -209,16 +194,6 @@ impl FaultPlan {
     pub fn panic_fires(&self, ordinal: u64) -> bool {
         (self.panic_at != 0 && ordinal == u64::from(self.panic_at))
             || self.fires(self.panic_one_in, ordinal, 0x5041_4E49) // "PANI"
-    }
-
-    /// Should the task at `ordinal` (1-based) stall first?
-    pub fn stall_fires(&self, ordinal: u64) -> bool {
-        self.fires(self.stall_one_in, ordinal, 0x5354_414C) // "STAL"
-    }
-
-    /// Should the runtime die at task `ordinal` (1-based)?
-    pub fn kill_fires(&self, ordinal: u64) -> bool {
-        self.kill_at_task != 0 && ordinal >= u64::from(self.kill_at_task)
     }
 
     /// Should the cache lock be poisoned on insert `ordinal` (1-based)?
@@ -248,12 +223,8 @@ pub struct ServeConfig {
     /// from scratch, the pre-cache behavior.
     pub cache_capacity: usize,
     /// Deterministic fault-injection plan. The default plan is inert;
-    /// chaos tests and the fleet bench arm it per replica.
+    /// chaos tests arm it.
     pub faults: FaultPlan,
-    /// Identity of the replica this runtime backs, reported in
-    /// [`ProteusError::ReplicaUnavailable`] so fleet errors name the
-    /// failing replica. `0` for standalone runtimes.
-    pub replica_label: usize,
 }
 
 impl Default for ServeConfig {
@@ -263,7 +234,6 @@ impl Default for ServeConfig {
             window: 4,
             cache_capacity: 4096,
             faults: FaultPlan::default(),
-            replica_label: 0,
         }
     }
 }
@@ -315,28 +285,21 @@ mod tests {
         assert!(!inert.is_active());
         for ordinal in 1..200 {
             assert!(!inert.panic_fires(ordinal));
-            assert!(!inert.stall_fires(ordinal));
-            assert!(!inert.kill_fires(ordinal));
             assert!(!inert.poison_cache_fires(ordinal));
         }
 
         let plan = FaultPlan {
             seed: 0xC0FFEE,
             panic_one_in: 5,
-            stall_one_in: 3,
             ..FaultPlan::default()
         };
         assert!(plan.is_active());
         // same (seed, ordinal) → same decision, always
-        let draws: Vec<(bool, bool)> = (1..100)
-            .map(|o| (plan.panic_fires(o), plan.stall_fires(o)))
-            .collect();
-        let replay: Vec<(bool, bool)> = (1..100)
-            .map(|o| (plan.panic_fires(o), plan.stall_fires(o)))
-            .collect();
+        let draws: Vec<bool> = (1..100).map(|o| plan.panic_fires(o)).collect();
+        let replay: Vec<bool> = (1..100).map(|o| plan.panic_fires(o)).collect();
         assert_eq!(draws, replay);
         // a one-in-5 rate fires a plausible number of times in 99 draws
-        let fired = draws.iter().filter(|(p, _)| *p).count();
+        let fired = draws.iter().filter(|p| **p).count();
         assert!(fired > 4 && fired < 50, "panic draw rate off: {fired}/99");
         // different seeds decorrelate
         let other = FaultPlan {
@@ -348,12 +311,10 @@ mod tests {
         // ordinal-pinned faults fire exactly where aimed
         let pinned = FaultPlan {
             panic_at: 7,
-            kill_at_task: 9,
             poison_cache_at: 2,
             ..FaultPlan::default()
         };
         assert!(pinned.panic_fires(7) && !pinned.panic_fires(6) && !pinned.panic_fires(8));
-        assert!(!pinned.kill_fires(8) && pinned.kill_fires(9) && pinned.kill_fires(10));
         assert!(pinned.poison_cache_fires(2) && !pinned.poison_cache_fires(3));
     }
 

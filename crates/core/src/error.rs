@@ -61,49 +61,25 @@ pub enum ProteusError {
     /// request. The panic was contained (`catch_unwind`) — the pool and
     /// every other request lane keep running — but this request's
     /// in-flight frames are abandoned: the lane fails closed rather than
-    /// emitting a frame with missing members. Retryable: the fleet
-    /// re-dispatches the request (determinism makes the replay
-    /// bit-identical).
+    /// emitting a frame with missing members. The owner may resend the
+    /// request; request-id-keyed determinism makes the replay
+    /// bit-identical.
     WorkerCrashed {
         /// Request whose lane failed.
         request_id: u64,
         /// Panic payload / failure site.
         detail: String,
     },
-    /// The request exceeded its latency deadline while waiting on the
-    /// runtime. Terminal, not retryable: the deadline is the caller's
-    /// end-to-end budget, and re-dispatching past it cannot make the
-    /// response timely.
-    Deadline {
-        /// Request that timed out.
-        request_id: u64,
-        /// Time actually elapsed when the deadline check fired.
-        elapsed_ms: u64,
-    },
-    /// The replica backing this lane is gone — killed mid-request, shut
-    /// down, or never spawned. Retryable: the fleet marks the replica
-    /// down and re-dispatches to a healthy one.
+    /// The serving runtime could not start its worker pool: the OS
+    /// refused to spawn a worker thread.
     ReplicaUnavailable {
-        /// Which replica failed ([`crate::ServeConfig::replica_label`]).
-        replica: usize,
-        /// What happened to it.
+        /// What happened.
         detail: String,
     },
     /// The durable store failed: filesystem I/O, a corrupt or tampered
     /// WAL record, an unusable commit marker, a missing entry, or store
     /// misuse (see [`crate::store::StoreError`]).
     Store(StoreError),
-    /// The fleet's bounded retry budget ran out without any replica
-    /// completing the request. Carries the final attempt's error so the
-    /// caller can see *why* the last replica failed.
-    RetriesExhausted {
-        /// Request that could not be served.
-        request_id: u64,
-        /// Total dispatch attempts made (initial + retries).
-        attempts: u32,
-        /// The error from the final attempt.
-        last: Box<ProteusError>,
-    },
 }
 
 impl ProteusError {
@@ -127,22 +103,6 @@ impl ProteusError {
             detail: detail.into(),
         }
     }
-
-    /// Whether a fleet may re-dispatch the request after this error.
-    ///
-    /// Only failures of the *serving substrate* — a crashed worker or a
-    /// lost replica — are retryable: request-id-keyed determinism
-    /// guarantees the replay is bit-identical on any replica, so retrying
-    /// is safe and transparent. Everything else is a property of the
-    /// request or the protocol ([`ProteusError::Deadline`] included: the
-    /// latency budget is already spent) and will fail identically on every
-    /// replica.
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            ProteusError::WorkerCrashed { .. } | ProteusError::ReplicaUnavailable { .. }
-        )
-    }
 }
 
 impl fmt::Display for ProteusError {
@@ -165,25 +125,10 @@ impl fmt::Display for ProteusError {
                 f,
                 "worker crashed serving request {request_id:#x}: {detail}"
             ),
-            ProteusError::Deadline {
-                request_id,
-                elapsed_ms,
-            } => write!(
-                f,
-                "request {request_id:#x} exceeded its deadline after {elapsed_ms}ms"
-            ),
-            ProteusError::ReplicaUnavailable { replica, detail } => {
-                write!(f, "replica {replica} unavailable: {detail}")
+            ProteusError::ReplicaUnavailable { detail } => {
+                write!(f, "serving runtime unavailable: {detail}")
             }
             ProteusError::Store(e) => write!(f, "{e}"),
-            ProteusError::RetriesExhausted {
-                request_id,
-                attempts,
-                last,
-            } => write!(
-                f,
-                "request {request_id:#x} failed after {attempts} attempts; last error: {last}"
-            ),
         }
     }
 }
@@ -195,7 +140,6 @@ impl std::error::Error for ProteusError {
             ProteusError::Graph(e) => Some(e),
             ProteusError::Artifact(e) => Some(e),
             ProteusError::Store(e) => Some(e),
-            ProteusError::RetriesExhausted { last, .. } => Some(last.as_ref()),
             _ => None,
         }
     }
@@ -264,44 +208,20 @@ mod tests {
     }
 
     #[test]
-    fn fault_family_displays_and_retryability() {
+    fn fault_family_displays() {
         let crash = ProteusError::WorkerCrashed {
             request_id: 0xAB,
             detail: "fault injection: task 3".into(),
         };
         assert!(crash.to_string().contains("0xab"));
-        assert!(crash.is_retryable());
+        assert!(crash.to_string().contains("fault injection: task 3"));
 
         let gone = ProteusError::ReplicaUnavailable {
-            replica: 2,
-            detail: "killed at task 5".into(),
+            detail: "failed to spawn serve worker 1".into(),
         };
-        assert!(gone.to_string().contains("replica 2"));
-        assert!(gone.is_retryable());
-
-        let late = ProteusError::Deadline {
-            request_id: 7,
-            elapsed_ms: 120,
-        };
-        assert!(late.to_string().contains("120ms"));
-        assert!(!late.is_retryable(), "deadline budget is already spent");
-
-        let spent = ProteusError::RetriesExhausted {
-            request_id: 7,
-            attempts: 3,
-            last: Box::new(crash.clone()),
-        };
-        assert!(spent.to_string().contains("after 3 attempts"));
-        assert!(spent.to_string().contains("worker crashed"));
-        assert!(!spent.is_retryable());
-        use std::error::Error;
-        assert_eq!(
-            spent.source().map(ToString::to_string),
-            Some(crash.to_string()),
-            "RetriesExhausted chains to the final attempt's error"
-        );
+        assert!(gone.to_string().contains("spawn serve worker 1"));
         // the family stays matchable and comparable
-        assert_eq!(spent.clone(), spent);
+        assert_eq!(gone.clone(), gone);
         assert!(!matches!(crash, ProteusError::Protocol { .. }));
     }
 }

@@ -104,7 +104,6 @@ pub mod baseline;
 pub mod bucket;
 pub mod config;
 pub mod error;
-pub mod fleet;
 pub mod inventory;
 pub mod operators;
 pub mod phase;
@@ -126,7 +125,6 @@ pub use bucket::{
 };
 pub use config::{FaultPlan, PartitionSpec, ProteusConfig, SentinelMode, ServeConfig};
 pub use error::ProteusError;
-pub use fleet::{Fleet, FleetConfig, FleetResponse, FleetStats, ReplicaState, ReplicaStatus};
 pub use inventory::{InventoryStats, RegimeTag, SentinelInventory, SentinelKey};
 pub use operators::{detect_regime, populate, PopulationConfig, Regime};
 pub use phase::{semantic_ns, PhaseBreakdown};

@@ -391,11 +391,11 @@ fn optimize_members(
     for i in 0..members.len() {
         queues.push(i);
     }
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for w in 0..num_threads {
             let queues = &queues;
             let slots = &slots;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 // every task is queued before the workers start, so an
                 // empty scan (own deque + all steals) means the batch is
                 // drained
@@ -409,8 +409,7 @@ fn optimize_members(
                 }
             });
         }
-    })
-    .expect("thread scope");
+    });
 
     slots
         .into_iter()

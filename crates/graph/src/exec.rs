@@ -13,11 +13,10 @@ use crate::shape::Shape;
 use crate::{GraphError, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A dense row-major `f32` tensor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
@@ -112,7 +111,7 @@ impl Tensor {
 
 /// Parameter store: maps a node id to its parameter tensors (ONNX
 /// "initializers"). See [`param_signature`] for per-operator layouts.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TensorMap {
     params: HashMap<NodeId, Vec<Tensor>>,
 }

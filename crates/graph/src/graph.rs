@@ -7,7 +7,6 @@
 use crate::op::Op;
 use crate::shape::Shape;
 use crate::{GraphError, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -15,7 +14,7 @@ use std::fmt;
 ///
 /// Ids are only meaningful relative to the graph that produced them and stay
 /// stable across node removals (the arena uses tombstones, not compaction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
@@ -39,7 +38,7 @@ impl fmt::Display for NodeId {
 }
 
 /// One operator application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// The operator computed at this node.
     pub op: Op,
@@ -70,7 +69,7 @@ pub struct Node {
 /// assert_eq!(g.len(), 3);
 /// assert!(g.validate().is_ok());
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Graph {
     name: String,
     nodes: Vec<Option<Node>>,
@@ -558,7 +557,7 @@ fn op_base_name(op: &Op) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{Activation, ConvAttrs};
+    use crate::op::Activation;
 
     fn diamond() -> (Graph, [NodeId; 4]) {
         // x -> relu -> add <- sigmoid <- x
@@ -776,31 +775,5 @@ mod tests {
         assert_eq!(a, b, "same structure must compare equal");
         b.remove(r);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let (g, _) = diamond();
-        let conv_g = {
-            let mut g2 = Graph::new("c");
-            let x = g2.input([1, 3, 8, 8]);
-            let c = g2.add(Op::Conv(ConvAttrs::new(3, 4, 3).padding(1)), [x]);
-            g2.set_outputs([c]);
-            g2
-        };
-        for graph in [&g, &conv_g] {
-            let ser = serde_json_like(graph);
-            assert!(!ser.is_empty());
-        }
-    }
-
-    // serde_json is not in the allowed dependency set; exercise Serialize via
-    // the compact self-describing debug of the serde data model instead.
-    fn serde_json_like(g: &Graph) -> String {
-        // bincode/json unavailable: round-trip through serde's derived
-        // Serialize by cloning and comparing (structural identity).
-        let clone = g.clone();
-        assert_eq!(&clone, g);
-        format!("{clone:?}")
     }
 }

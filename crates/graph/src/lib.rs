@@ -14,9 +14,9 @@
 //!   heuristic adversary ([`stats::GraphStats`]),
 //! - a reference interpreter used to verify that optimizer rewrites preserve
 //!   functional semantics ([`exec::Executor`]),
-//! - Graphviz DOT export ([`dot::to_dot`]) and serde serialization (the
-//!   obfuscated bucket exchanged between model owner and optimizer is
-//!   serialized from these types).
+//! - Graphviz DOT export ([`dot::to_dot`]) and the hand-written binary
+//!   wire codec ([`wire`]) that serializes the obfuscated buckets
+//!   exchanged between model owner and optimizer.
 //!
 //! # Example
 //!

@@ -7,14 +7,13 @@
 //! operator population step must assign consistently.
 
 use crate::shape::Shape;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Elementwise activation functions.
 ///
 /// These appear both as standalone [`Op::Activation`] nodes and as fused
 /// epilogues on [`ConvAttrs`]/[`GemmAttrs`] after optimizer rewrites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Activation {
     /// `max(x, 0)`.
     Relu,
@@ -76,7 +75,7 @@ impl fmt::Display for Activation {
 /// a per-tile transform overhead that dominates at small channel counts.
 /// This mirrors the "typically beneficial but occasionally harmful"
 /// optimizations discussed in the paper's NAS case study (§6.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ConvAlgo {
     /// Direct (im2col-style) convolution.
     #[default]
@@ -86,7 +85,7 @@ pub enum ConvAlgo {
 }
 
 /// Attributes of a 2-D convolution.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ConvAttrs {
     /// Input channel count.
     pub in_channels: usize,
@@ -169,7 +168,7 @@ impl ConvAttrs {
 }
 
 /// Attributes of a fully-connected (`Gemm`) layer: `y = act(x W^T + b)`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GemmAttrs {
     /// Input feature dimension.
     pub in_features: usize,
@@ -194,7 +193,7 @@ impl GemmAttrs {
 }
 
 /// Attributes of max/average pooling.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PoolAttrs {
     /// Square pooling window size.
     pub kernel: usize,
@@ -216,14 +215,14 @@ impl PoolAttrs {
 }
 
 /// Attributes of (inference-mode) batch normalization.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BatchNormAttrs {
     /// Channel count the per-channel statistics are stored for.
     pub channels: usize,
 }
 
 /// Attributes of layer normalization over the last dimension.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LayerNormAttrs {
     /// Size of the normalized (last) dimension.
     pub dim: usize,
@@ -235,7 +234,7 @@ pub struct LayerNormAttrs {
 /// (weights, biases, BN statistics, embedding tables) are *not* stored inline
 /// — they live in a [`crate::TensorMap`] keyed by node id, mirroring how ONNX
 /// separates initializers from graph structure.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Graph input placeholder with a fixed shape.
     Input {
@@ -449,7 +448,7 @@ impl fmt::Display for Op {
 /// This is the "operator information" an adversary observes (paper §4.1.2):
 /// node labels of the computational graph. It is also the assignment domain
 /// of the SMT-based operator population step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 #[allow(missing_docs)] // each variant names the `Op` (or `Activation`) it abbreviates
 pub enum OpCode {

@@ -8,12 +8,11 @@
 use crate::graph::{Graph, NodeId};
 use crate::op::Op;
 use crate::{GraphError, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// A tensor shape (row-major dimensions). Rank-0 denotes a scalar.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Shape(Vec<usize>);
 
 impl Shape {

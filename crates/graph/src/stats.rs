@@ -7,12 +7,11 @@
 //! diameter, and node count.
 
 use crate::graph::{Graph, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
 /// The four topology statistics Proteus matches between real and sentinel
 /// subgraphs.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GraphStats {
     /// Mean undirected degree, `2|E| / |V|`.
     pub avg_degree: f64,

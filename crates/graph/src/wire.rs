@@ -154,9 +154,10 @@ pub fn fnv1a64_continue(mut h: u64, data: &[u8]) -> u64 {
 /// Caps an untrusted element count for pre-allocation: never reserve more
 /// elements than the remaining bytes could possibly encode (at `min_bytes`
 /// encoded bytes per element). The decode loop still reads the full
-/// declared count — a lying header hits a typed [`WireError::Truncated`]
-/// instead of demanding a multi-GiB allocation first.
-fn bounded_capacity(count: usize, buf: &impl Buf, min_bytes: usize) -> usize {
+/// declared count — a lying header hits a typed truncation error
+/// instead of demanding a multi-GiB allocation first. Shared by every
+/// codec in the workspace that pre-allocates from a decoded count.
+pub fn bounded_capacity(count: usize, buf: &impl Buf, min_bytes: usize) -> usize {
     count.min(buf.remaining() / min_bytes.max(1))
 }
 
@@ -350,8 +351,9 @@ pub const MAX_ERROR_DETAIL: usize = 64 * 1024;
 /// Typed reason codes carried by [`ErrorFrame`]s — the service-level error
 /// taxonomy, flattened to stable `u16` values so failures cross the trust
 /// boundary as values a client can match on instead of as dropped
-/// connections. Codes 1–11 mirror the core `ProteusError` variants; codes
-/// 12–18 are service conditions that only exist at the network boundary
+/// connections. Codes 1–11 mirror core `ProteusError` variants (9 and 11
+/// are reserved: their variants are gone, the values stay decodable);
+/// codes 12–18 are service conditions that only exist at the network boundary
 /// (handshake rejection, admission control, shutdown).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u16)]
@@ -372,11 +374,13 @@ pub enum ErrorCode {
     Artifact = 7,
     /// A serving worker crashed while optimizing the frame.
     WorkerCrashed = 8,
-    /// The request missed its latency deadline.
+    /// The request missed its latency deadline. Reserved: no longer
+    /// emitted, still decoded.
     Deadline = 9,
-    /// No healthy replica was available to take the request.
+    /// The serving runtime could not start its worker pool.
     ReplicaUnavailable = 10,
-    /// The request was retried to exhaustion across replicas.
+    /// The request was retried to exhaustion. Reserved: no longer
+    /// emitted, still decoded.
     RetriesExhausted = 11,
     /// Handshake rejected: peer speaks an unsupported protocol version.
     VersionMismatch = 12,

@@ -1,11 +1,10 @@
 //! Undirected graph and DAG value types used by the topology generator.
 
 use proteus_graph::{Graph, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A simple undirected graph over `0..n` (the GraphRNN sample space).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct UGraph {
     adj: Vec<Vec<usize>>,
 }
@@ -146,7 +145,7 @@ impl UGraph {
 
 /// An unlabeled DAG over `0..n` — the output of orientation induction and
 /// the input to operator population.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Dag {
     n: usize,
     edges: Vec<(usize, usize)>,

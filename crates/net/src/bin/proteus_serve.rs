@@ -10,7 +10,7 @@
 //! ```text
 //! proteus-serve --artifact zoo.prta --addr 127.0.0.1:7070 \
 //!     --token team-a:sesame --token team-b:mellon \
-//!     --replicas 2 --quota 8 --max-connections 64
+//!     --workers 4 --quota 8 --max-connections 64
 //! ```
 //!
 //! `--oneshot` serves until the first accepted connection has come and
@@ -25,8 +25,8 @@
 //! request-id-keyed determinism), and only then takes new traffic.
 
 use proteus::store::Store;
-use proteus::{Fleet, FleetConfig, Proteus, ServeConfig};
-use proteus_net::{NetBackend, NetServer, NetServerConfig, TenantAuth};
+use proteus::{Proteus, ServeConfig, ServeRuntime};
+use proteus_net::{NetServer, NetServerConfig, TenantAuth};
 use proteus_opt::{Optimizer, Profile};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -36,7 +36,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: proteus-serve [--artifact PATH] [--store-dir DIR] [--addr HOST:PORT]\n\
          \x20      [--token TENANT:SECRET ...]\n\
-         \x20      [--replicas N] [--workers N] [--window N] [--cache N]\n\
+         \x20      [--workers N] [--window N] [--cache N]\n\
          \x20      [--max-connections N] [--quota N] [--profile ort|hidet]\n\
          \x20      [--oneshot] [--grace-secs N]\n\
          \n\
@@ -47,7 +47,6 @@ fn usage() -> ExitCode {
          \x20                without it, the daemon warm-starts from the store\n\
          --addr           bind address (default 127.0.0.1:7070; port 0 picks a free port)\n\
          --token          tenant credential, repeatable (default demo:demo)\n\
-         --replicas       fleet replicas; 1 = single shared runtime (default 1)\n\
          --quota          max concurrent requests per tenant; 0 = unlimited\n\
          --max-connections max open connections; 0 = unlimited\n\
          --oneshot        exit after the first connection completes\n\
@@ -102,7 +101,6 @@ fn run(args: &[String]) -> Result<(), String> {
     }
     let addr = flag_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:7070".to_string());
     let auth = parse_tokens(args)?;
-    let replicas = parse_usize(args, "--replicas", 1)?;
     let oneshot = args.iter().any(|a| a == "--oneshot");
     let grace = Duration::from_secs(parse_usize(args, "--grace-secs", 30)? as u64);
     let profile = match flag_value(args, "--profile").as_deref() {
@@ -148,24 +146,8 @@ fn run(args: &[String]) -> Result<(), String> {
         t.elapsed().as_secs_f64() * 1e3
     );
 
-    let optimizer = Optimizer::new(profile);
-    let backend = if replicas <= 1 {
-        NetBackend::Runtime(
-            proteus::ServeRuntime::new(optimizer, serve_config).map_err(|e| e.to_string())?,
-        )
-    } else {
-        NetBackend::Fleet(
-            Fleet::new(
-                optimizer,
-                FleetConfig {
-                    replicas,
-                    serve: serve_config,
-                    ..Default::default()
-                },
-            )
-            .map_err(|e| e.to_string())?,
-        )
-    };
+    let runtime =
+        ServeRuntime::new(Optimizer::new(profile), serve_config).map_err(|e| e.to_string())?;
 
     // before taking traffic: finish every lane the previous incarnation
     // was killed in the middle of. Re-optimizing is deterministic
@@ -173,20 +155,11 @@ fn run(args: &[String]) -> Result<(), String> {
     // bit-identical frames — now served from the warmed cache.
     if let Some(store) = &store {
         for (rid, frames) in store.pending_lanes() {
-            let replay = || -> Result<usize, proteus::ProteusError> {
-                let handle = backend.lane(rid)?;
-                for frame in &frames {
-                    handle.submit_bytes(frame.clone())?;
-                }
-                let mut delivered = 0;
-                for _ in &frames {
-                    handle.recv_bytes()?;
-                    delivered += 1;
-                }
-                Ok(delivered)
-            };
-            match replay() {
-                Ok(n) => eprintln!("recovered lane {rid:#x}: re-optimized {n} frame(s)"),
+            match runtime.resume_lane(rid, &frames) {
+                Ok(out) => eprintln!(
+                    "recovered lane {rid:#x}: re-optimized {} frame(s)",
+                    out.len()
+                ),
                 // a lane that fails on replay failed identically before
                 // the kill (duplicates, corrupt frames); it fails closed
                 // here exactly like the live path
@@ -198,7 +171,7 @@ fn run(args: &[String]) -> Result<(), String> {
 
     let tenants = auth.len();
     let server = NetServer::bind(
-        backend,
+        runtime,
         fingerprint,
         NetServerConfig {
             addr,

@@ -144,9 +144,7 @@ pub fn error_code_for(err: &ProteusError) -> ErrorCode {
         ProteusError::DuplicateFrame { .. } => ErrorCode::DuplicateFrame,
         ProteusError::Artifact(_) => ErrorCode::Artifact,
         ProteusError::WorkerCrashed { .. } => ErrorCode::WorkerCrashed,
-        ProteusError::Deadline { .. } => ErrorCode::Deadline,
         ProteusError::ReplicaUnavailable { .. } => ErrorCode::ReplicaUnavailable,
-        ProteusError::RetriesExhausted { .. } => ErrorCode::RetriesExhausted,
         // durable-store failures are a server-side condition the client
         // can neither cause nor repair
         ProteusError::Store(_) => ErrorCode::Internal,

@@ -1,7 +1,6 @@
 //! The serving daemon: accepts authenticated connections, demultiplexes
 //! interleaved frames per connection by peeking the request id, and
-//! streams each request through a [`proteus::ServeRuntime`] or
-//! [`proteus::Fleet`] lane.
+//! streams each request through a [`proteus::ServeRuntime`] lane.
 //!
 //! ## Threading and failure domains
 //!
@@ -32,8 +31,7 @@
 //! [`NetServer::shutdown`] stops accepting, flags draining (new request
 //! ids are rejected with [`ErrorCode::Shutdown`]), waits for in-flight
 //! requests to finish within the grace period, then force-closes
-//! stragglers. A fleet backend is drained replica by replica —
-//! reusing [`proteus::Fleet::drain`] — before the call returns.
+//! stragglers.
 
 use crate::codec::{FrameReader, FrameWriter, NetFrame};
 use crate::error::{error_frame_for, NetError};
@@ -41,7 +39,7 @@ use crate::handshake::{read_hello_bytes, ClientHello, ServerHello, NET_PROTOCOL_
 use bytes::Bytes;
 use proteus::serve::RequestHandle;
 use proteus::store::Store;
-use proteus::{Fleet, ProteusError, ServeRuntime};
+use proteus::ServeRuntime;
 use proteus_graph::wire::{
     encode_error_frame, peek_frame_request_id, ErrorCode, ErrorFrame, WIRE_VERSION,
     WIRE_VERSION_V1, WIRE_VERSION_V2,
@@ -117,40 +115,6 @@ impl Default for NetServerConfig {
     }
 }
 
-/// The optimization engine behind the socket: a single shared runtime,
-/// or a replicated fleet (requests route by consistent hash and the
-/// server reuses fleet drain on shutdown).
-pub enum NetBackend {
-    /// One shared [`ServeRuntime`].
-    Runtime(ServeRuntime),
-    /// A replicated [`Fleet`].
-    Fleet(Fleet),
-}
-
-impl std::fmt::Debug for NetBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NetBackend::Runtime(_) => f.write_str("NetBackend::Runtime"),
-            NetBackend::Fleet(fleet) => {
-                write!(f, "NetBackend::Fleet({} replicas)", fleet.replicas())
-            }
-        }
-    }
-}
-
-impl NetBackend {
-    /// Opens a lane (a [`RequestHandle`]) for one request id, routing to
-    /// the shared runtime or the fleet's replica for that id. The server
-    /// uses this per admitted request; `proteus-serve` also uses it to
-    /// replay journaled lanes during store recovery.
-    pub fn lane(&self, request_id: u64) -> Result<RequestHandle, ProteusError> {
-        match self {
-            NetBackend::Runtime(rt) => Ok(rt.handle(request_id)),
-            NetBackend::Fleet(fleet) => fleet.lane(request_id),
-        }
-    }
-}
-
 /// Point-in-time server counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetServerStats {
@@ -190,7 +154,7 @@ struct Counters {
 }
 
 struct ServerShared {
-    backend: NetBackend,
+    runtime: ServeRuntime,
     config: NetServerConfig,
     /// token → tenant.
     tokens: HashMap<String, String>,
@@ -292,7 +256,7 @@ impl NetServer {
     /// # Errors
     /// [`NetError::Io`] when the address cannot be bound.
     pub fn bind(
-        backend: NetBackend,
+        runtime: ServeRuntime,
         fingerprint: u64,
         config: NetServerConfig,
     ) -> Result<NetServer, NetError> {
@@ -310,7 +274,7 @@ impl NetServer {
             .map(|a| (a.token.clone(), a.tenant.clone()))
             .collect();
         let shared = Arc::new(ServerShared {
-            backend,
+            runtime,
             config,
             tokens,
             fingerprint,
@@ -363,8 +327,7 @@ impl NetServer {
 
     /// Graceful drain: stop accepting, reject new request ids with
     /// [`ErrorCode::Shutdown`], let in-flight requests finish within
-    /// `grace`, force-close whatever remains, join every thread, and
-    /// drain the backend (fleet replicas via [`proteus::Fleet::drain`]).
+    /// `grace`, force-close whatever remains, and join every thread.
     ///
     /// Returns the final counters.
     pub fn shutdown(mut self, grace: Duration) -> NetServerStats {
@@ -394,11 +357,6 @@ impl NetServer {
         let handlers: Vec<JoinHandle<()>> = relock(&self.shared.handlers).drain(..).collect();
         for h in handlers {
             let _ = h.join();
-        }
-        if let NetBackend::Fleet(fleet) = &self.shared.backend {
-            for index in 0..fleet.replicas() {
-                let _ = fleet.drain(index);
-            }
         }
         self.stats()
     }
@@ -760,32 +718,23 @@ fn dispatch_frame(
                     .entry(tenant.to_string())
                     .or_insert(0) += 1;
             }
-            match shared.backend.lane(request_id) {
-                Ok(handle) => {
-                    let mut st = relock(state);
-                    st.lanes.insert(
-                        request_id,
-                        Lane {
-                            handle: handle.clone(),
-                            tenant: tenant.to_string(),
-                            submitted: 1,
-                            delivered: 0,
-                            expected: None,
-                            failed: false,
-                        },
-                    );
-                    shared
-                        .counters
-                        .requests_active
-                        .fetch_add(1, Ordering::SeqCst);
-                    handle
-                }
-                Err(e) => {
-                    shared.release_tenant(tenant);
-                    reject(crate::error::error_code_for(&e), e.to_string());
-                    return true;
-                }
-            }
+            let handle = shared.runtime.handle(request_id);
+            relock(state).lanes.insert(
+                request_id,
+                Lane {
+                    handle: handle.clone(),
+                    tenant: tenant.to_string(),
+                    submitted: 1,
+                    delivered: 0,
+                    expected: None,
+                    failed: false,
+                },
+            );
+            shared
+                .counters
+                .requests_active
+                .fetch_add(1, Ordering::SeqCst);
+            handle
         }
     };
     // journal *before* submitting: once the frame can influence an

@@ -10,12 +10,11 @@
 
 use crate::contract::Assignment;
 use proteus_graph::{infer_shapes, Graph, GraphError, NodeId, Op, TensorMap};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Where a piece's boundary input comes from: output `output` of piece
 /// `piece`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoundaryRef {
     /// Index of the producing piece in the plan.
     pub piece: usize,
@@ -24,7 +23,7 @@ pub struct BoundaryRef {
 }
 
 /// One extracted subgraph plus its interface wiring.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Piece {
     /// The standalone subgraph (cut edges replaced by `Input` placeholders).
     pub graph: Graph,
@@ -38,7 +37,7 @@ pub struct Piece {
 }
 
 /// A complete partitioning of a protected model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PartitionPlan {
     /// The extracted pieces, indexed by partition id.
     pub pieces: Vec<Piece>,

@@ -10,8 +10,8 @@
 //!    number of lookups issued).
 //!
 //! Runs on the workspace proptest shim: deterministic seeds, no
-//! shrinking. CI exercises this suite in release in the `fleet-chaos`
-//! job alongside the chaos battery.
+//! shrinking. CI exercises this suite in release in the `serve-stress`
+//! job alongside the runtime's chaos tests.
 
 use proptest::{proptest, ProptestConfig};
 use proteus::serve::OptimizedCache;

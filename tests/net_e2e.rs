@@ -28,8 +28,7 @@ use proteus_graphgen::GraphRnnConfig;
 use proteus_models::{build, ModelKind};
 use proteus_net::handshake::{read_hello_bytes, ClientHello, ServerHello};
 use proteus_net::{
-    FrameReader, FrameWriter, NetBackend, NetClient, NetRequest, NetServer, NetServerConfig,
-    TenantAuth,
+    FrameReader, FrameWriter, NetClient, NetRequest, NetServer, NetServerConfig, TenantAuth,
 };
 use proteus_opt::{Optimizer, Profile};
 use std::net::TcpStream;
@@ -79,12 +78,7 @@ fn spawn_server(config: NetServerConfig) -> NetServer {
         },
     )
     .expect("runtime spawns");
-    NetServer::bind(
-        NetBackend::Runtime(runtime),
-        shared_proteus().config_fingerprint(),
-        config,
-    )
-    .expect("server binds")
+    NetServer::bind(runtime, shared_proteus().config_fingerprint(), config).expect("server binds")
 }
 
 fn default_server() -> NetServer {

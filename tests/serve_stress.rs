@@ -4,18 +4,25 @@
 //! graphs and tensors **bit-identical** to the serial single-session path
 //! — no matter how the work-stealing pool interleaves their frames.
 //!
-//! CI runs this suite in release mode (the `serve-stress` job).
+//! The chaos tests at the end arm the runtime's deterministic
+//! [`FaultPlan`]: every request must end either bit-identical to the
+//! serial path or in a typed [`ProteusError::WorkerCrashed`], and no
+//! fault may leak a partial frame.
+//!
+//! CI runs this suite in release mode (the `serve-stress` job);
+//! `PROTEUS_CHAOS_SEEDS` overrides the chaos storm's seed list.
 
 use proteus::serve::ServeRuntime;
 use proteus::{
-    DeobfuscationSession, PartitionSpec, Proteus, ProteusConfig, SealedBucket, ServeConfig,
+    DeobfuscationSession, FaultPlan, PartitionSpec, Proteus, ProteusConfig, ProteusError,
+    SealedBucket, ServeConfig,
 };
 use proteus_graph::{Activation, BatchNormAttrs, ConvAttrs, GemmAttrs, Graph, Op, TensorMap};
 use proteus_graphgen::GraphRnnConfig;
 use proteus_models::{build, ModelKind};
 use proteus_opt::{Optimizer, Profile};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Once, OnceLock};
 
 fn quick_config(k: usize, n: usize) -> ProteusConfig {
     ProteusConfig {
@@ -318,4 +325,193 @@ fn window_one_under_contention_still_converges() {
         assert_eq!(graph, want_graph, "request {rid}: graphs diverge");
         assert_eq!(params, want_params, "request {rid}: tensors diverge");
     }
+}
+
+/// Injected faults panic on purpose (contained by the runtime's
+/// `catch_unwind`); suppress their backtrace spew so real test failures
+/// stay readable. Non-fault panics still print via the previous hook.
+fn quiet_fault_panics() {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let msg = info
+                .payload()
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| info.payload().downcast_ref::<&str>().copied())
+                .unwrap_or("");
+            if !msg.contains("fault injection") {
+                prev(info);
+            }
+        }));
+    });
+}
+
+/// One shared trained instance for the chaos tests (training is
+/// model-independent; every test keys its requests by distinct ids).
+fn shared_proteus() -> &'static Arc<Proteus> {
+    static SHARED: OnceLock<Arc<Proteus>> = OnceLock::new();
+    SHARED.get_or_init(|| {
+        Proteus::builder()
+            .config(quick_config(2, 2))
+            .corpus_model(build(ModelKind::ResNet))
+            .train_shared()
+            .expect("train")
+    })
+}
+
+/// No fault may leak a partial frame: every frame a faulted runtime
+/// delivers carries all `k + 1` members, and fully-delivered requests
+/// reassemble bit-identically to the serial path.
+#[test]
+fn no_fault_leaks_a_partial_frame() {
+    quiet_fault_panics();
+    let proteus = shared_proteus();
+    let optimizer = Optimizer::new(Profile::OrtLike);
+    let k = 2; // quick_config(2, 2)
+    let runtime = ServeRuntime::new(
+        Optimizer::new(Profile::OrtLike),
+        ServeConfig {
+            workers: 2,
+            window: 4,
+            cache_capacity: 0,
+            faults: FaultPlan {
+                seed: 0xF00D,
+                panic_one_in: 3,
+                ..Default::default()
+            },
+        },
+    )
+    .expect("runtime");
+    let mut crashed = 0usize;
+    let mut completed = 0usize;
+    for rid in 400..412u64 {
+        let (graph, params) = request_model(rid);
+        let mut session = proteus
+            .obfuscate_session(&graph, &params, rid)
+            .expect("session");
+        let n = session.num_buckets();
+        let handle = runtime.handle(rid);
+        let mut frames = Vec::new();
+        let mut failure = None;
+        while let Some(frame) = session.next_frame() {
+            if let Err(e) = handle.submit(frame) {
+                failure = Some(e);
+                break;
+            }
+        }
+        let secrets = session.finish().expect("secrets");
+        while failure.is_none() && frames.len() < n {
+            match handle.recv() {
+                Ok(frame) => frames.push(frame),
+                Err(e) => failure = Some(e),
+            }
+        }
+        // the invariant under test: every delivered frame is whole
+        for frame in &frames {
+            assert_eq!(
+                frame.bucket.members.len(),
+                k + 1,
+                "rid {rid}: a fault leaked a partial frame"
+            );
+        }
+        match failure {
+            Some(ProteusError::WorkerCrashed { request_id, .. }) => {
+                assert_eq!(request_id, rid);
+                crashed += 1;
+            }
+            Some(other) => panic!("rid {rid}: untyped chaos escape {other:?}"),
+            None => {
+                let mut reassembly = DeobfuscationSession::new(&secrets);
+                for frame in frames {
+                    reassembly.accept(frame).expect("accept");
+                }
+                let (got_g, got_p) = reassembly.finish().expect("finish");
+                let (want_g, want_p) = serial_reference(proteus, &optimizer, rid, &graph, &params);
+                assert_eq!(got_g, want_g, "rid {rid}");
+                assert_eq!(got_p, want_p, "rid {rid}");
+                completed += 1;
+            }
+        }
+    }
+    assert!(
+        crashed > 0,
+        "the 1-in-3 panic rate never fired in 12 requests"
+    );
+    assert!(completed > 0, "every request crashed; parity never checked");
+    let stats = runtime.stats();
+    assert_eq!(stats.lanes_crashed, crashed, "one lane failure per crash");
+    // two tasks of one lane may both panic on the two workers before the
+    // first failure detaches the rest
+    assert!(stats.tasks_crashed >= crashed, "{stats:?}");
+}
+
+/// Seeded chaos storm against one runtime: crash-prone tasks plus a
+/// poisoned optimized-member cache. Every request must end in either a
+/// bit-identical success or a typed [`ProteusError::WorkerCrashed`] —
+/// across every seed in the battery.
+#[test]
+fn seeded_chaos_storm_yields_only_parity_or_typed_errors() {
+    const REQUESTS: u64 = 12;
+    quiet_fault_panics();
+    let proteus = shared_proteus();
+    let optimizer = Optimizer::new(Profile::OrtLike);
+    let seeds: Vec<u64> = std::env::var("PROTEUS_CHAOS_SEEDS")
+        .ok()
+        .map(|s| {
+            s.split(',')
+                .map(|t| t.trim().parse().expect("PROTEUS_CHAOS_SEEDS: u64 list"))
+                .collect()
+        })
+        .unwrap_or_else(|| vec![0x5EED_0001, 0x5EED_0002, 0x5EED_0003]);
+    let mut succeeded_total = 0usize;
+    for seed in seeds {
+        let runtime = ServeRuntime::new(
+            Optimizer::new(Profile::OrtLike),
+            ServeConfig {
+                workers: 2,
+                window: 4,
+                faults: FaultPlan {
+                    seed,
+                    panic_one_in: 6,
+                    poison_cache_at: 1 + (seed % 3) as u32,
+                    ..Default::default()
+                },
+                ..Default::default() // cache ON for the poison fault
+            },
+        )
+        .expect("runtime");
+        let (mut succeeded, mut crashed) = (0usize, 0usize);
+        for i in 0..REQUESTS {
+            let rid = seed.wrapping_mul(131).wrapping_add(i * 17);
+            let (graph, params) = request_model(rid);
+            match runtime.serve_request(proteus, &graph, &params, rid) {
+                Ok((got_g, got_p)) => {
+                    let (want_g, want_p) =
+                        serial_reference(proteus, &optimizer, rid, &graph, &params);
+                    assert_eq!(got_g, want_g, "seed {seed:#x} rid {rid:#x}");
+                    assert_eq!(got_p, want_p, "seed {seed:#x} rid {rid:#x}");
+                    succeeded += 1;
+                }
+                Err(ProteusError::WorkerCrashed { request_id, .. }) => {
+                    assert_eq!(request_id, rid, "seed {seed:#x}");
+                    crashed += 1;
+                }
+                Err(other) => panic!("seed {seed:#x} rid {rid:#x}: untyped escape {other:?}"),
+            }
+        }
+        let stats = runtime.stats();
+        assert_eq!(stats.lanes_crashed, crashed, "seed {seed:#x}: {stats:?}");
+        assert!(stats.tasks_crashed >= crashed, "seed {seed:#x}: {stats:?}");
+        assert!(
+            stats.cache_poison_heals >= 1,
+            "seed {seed:#x}: the poisoned cache insert never ran: {stats:?}"
+        );
+        succeeded_total += succeeded;
+    }
+    assert!(
+        succeeded_total > 0,
+        "every request crashed; parity never checked"
+    );
 }
